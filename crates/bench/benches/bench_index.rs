@@ -1,6 +1,9 @@
 //! Old-vs-new election-index solver timings: the class-quotient search
 //! (`psi_ppe` / `psi_cppe`) against the retired per-node simple-path
-//! enumeration (`psi_*_enumerated`) across the workload families.
+//! enumeration (`psi_*_enumerated`) across the workload families, plus
+//! `psi_pe` on every point and one whole map-solver PPE election on each
+//! random-regular point (`solve_with_map_ppe_rr_n*`), which consumes the index
+//! search's witness and so should cost about what `psi_ppe_new_rr_*` costs.
 //!
 //! The enumeration side only appears where it finishes in bench-able time:
 //! n = 16 on every family and n = 256 on random-regular. On torus/circulant
@@ -17,13 +20,19 @@
 //! except PPE on the shuffled circulant at n = 4096, whose depth-1 classes are
 //! genuinely hard: that point measures the typed fail-fast path (a few seconds
 //! to `PathBudgetExceeded`, where the enumeration would never return) — hence
-//! the `.ok()` on the timed calls.
+//! the `.ok()` on the timed calls. PE has no budget and no enumeration
+//! baseline; its cost is the exact port predicate on classes the distance
+//! certificate cannot settle.
 //!
 //! Run with `cargo bench -p anet-bench --bench bench_index`.
 
 use anet_bench::Harness;
 use anet_constructions::GraphFamily;
-use anet_views::election_index::{psi_cppe, psi_cppe_enumerated, psi_ppe, psi_ppe_enumerated};
+use anet_election::map_algorithms::solve_with_map;
+use anet_election::tasks::Task;
+use anet_views::election_index::{
+    psi_cppe, psi_cppe_enumerated, psi_pe, psi_ppe, psi_ppe_enumerated,
+};
 use anet_workloads::{CirculantFamily, RandomRegularFamily, TorusFamily};
 
 /// The map solver's default path budget (both sides get the same allowance).
@@ -51,9 +60,15 @@ fn main() {
             let n = g.num_nodes();
             eprintln!("[bench_index] {name} n={n}");
             let samples = if n >= 4096 { 3 } else { 5 };
+            h.bench(&format!("psi_pe_new_{name}_n{n}"), samples, || psi_pe(g));
             h.bench(&format!("psi_ppe_new_{name}_n{n}"), samples, || {
                 psi_ppe(g, MAX_PATHS).ok()
             });
+            if name == "rr" {
+                h.bench(&format!("solve_with_map_ppe_rr_n{n}"), samples, || {
+                    solve_with_map(g, Task::PortPathElection, MAX_PATHS).ok()
+                });
+            }
             h.bench(&format!("psi_cppe_new_{name}_n{n}"), samples, || {
                 psi_cppe(g, MAX_PATHS).ok()
             });

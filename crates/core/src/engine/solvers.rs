@@ -28,19 +28,19 @@ fn map_run_to_solver_run(run: MapRun) -> SolverRun {
 /// map (Lemmas 2.7 / 3.9 / 4.9, upper-bound halves).
 #[derive(Debug, Clone, Copy)]
 pub struct MapSolver {
-    /// Budget for the simple-path enumeration behind the PPE / CPPE assignments.
+    /// Per-class operation budget of the PPE / CPPE assignment search.
     pub max_paths: usize,
 }
 
 impl MapSolver {
-    /// A map solver with an explicit path-enumeration budget.
+    /// A map solver with an explicit search budget.
     pub fn new(max_paths: usize) -> Self {
         MapSolver { max_paths }
     }
 }
 
 impl Default for MapSolver {
-    /// The default budget (50 000 simple paths) used throughout the experiments.
+    /// The default budget (50 000 operations) used throughout the experiments.
     fn default() -> Self {
         MapSolver::new(50_000)
     }

@@ -166,6 +166,19 @@ pub fn psi_s_with(r: &Refinement) -> Option<usize> {
     (0..=r.stable_depth().max(r.computed_depth())).find(|&h| !r.unique_nodes_at(h).is_empty())
 }
 
+/// The witness of a PE/PPE/CPPE index: the least depth `h`, the first node unique at
+/// `h` that can lead, and its per-node assignment, constant on the `h`-view classes.
+/// The map solver runs exactly this assignment, so it uses `ψ_Z(G)` rounds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Witness<T> {
+    /// The election index.
+    pub depth: usize,
+    /// The leader.
+    pub leader: NodeId,
+    /// Per-node outputs: `None` for the leader, the node's output otherwise.
+    pub assignment: Vec<Option<T>>,
+}
+
 /// For a fixed depth and candidate leader, the Port Election output assignment: one
 /// port per non-leader node, constant on view classes, such that every node's port is
 /// the first port of a simple path to the leader. `None` if no such assignment exists.
@@ -229,15 +242,22 @@ pub fn psi_pe(g: &PortGraph) -> Option<usize> {
 
 /// [`psi_pe`] on a caller-owned search (so one search serves all four indices).
 pub fn psi_pe_with(search: &mut QuotientSearch<'_>) -> Option<usize> {
+    pe_witness_with(search).map(|w| w.depth)
+}
+
+/// The `ψ_PE` witness on a caller-owned search: the index, the first unique node
+/// at it that admits a port assignment, and that assignment.
+pub fn pe_witness_with(search: &mut QuotientSearch<'_>) -> Option<Witness<Port>> {
     let r = search.refinement();
-    for h in 0..=r.stable_depth() {
-        for leader in r.unique_nodes_at(h) {
-            if pe_assignment_with(search, h, leader).is_some() {
-                return Some(h);
-            }
-        }
-    }
-    None
+    (0..=r.stable_depth()).find_map(|depth| {
+        r.unique_nodes_at(depth).into_iter().find_map(|leader| {
+            pe_assignment_with(search, depth, leader).map(|assignment| Witness {
+                depth,
+                leader,
+                assignment,
+            })
+        })
+    })
 }
 
 /// Node count above which the legacy simple-path enumeration (stage 5) is never
@@ -315,7 +335,7 @@ fn joint_search(
         on_walk[i * n + m as usize] = true;
     }
     let mut seq: Vec<(Port, Port)> = Vec::new();
-    match joint_step(
+    joint_step(
         g,
         leader,
         shade,
@@ -324,17 +344,7 @@ fn joint_search(
         &mut cur,
         &mut on_walk,
         &mut seq,
-    ) {
-        JointStep::Found => Joint::Found(seq),
-        JointStep::Exhausted => Joint::NoneExists,
-        JointStep::Budget => Joint::Budget,
-    }
-}
-
-enum JointStep {
-    Found,
-    Exhausted,
-    Budget,
+    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -347,7 +357,7 @@ fn joint_step(
     cur: &mut [NodeId],
     on_walk: &mut [bool],
     seq: &mut Vec<(Port, Port)>,
-) -> JointStep {
+) -> Joint {
     let n = g.num_nodes();
     let k = cur.len();
     let degree = g.degree(cur[0]) as Port;
@@ -357,7 +367,7 @@ fn joint_step(
         };
         *explored += 1;
         if *explored > max_states {
-            return JointStep::Budget;
+            return Joint::Budget;
         }
         // Materialise the joint step; prune on missing ports or (CPPE) far-port
         // disagreement.
@@ -391,7 +401,7 @@ fn joint_step(
         }
         seq.push((p, q0));
         if all_leader {
-            return JointStep::Found;
+            return Joint::Found(std::mem::take(seq));
         }
         for (i, next) in nexts.iter_mut().enumerate() {
             on_walk[i * n + *next as usize] = true;
@@ -404,13 +414,13 @@ fn joint_step(
             cur[i] = u;
         }
         match step {
-            JointStep::Exhausted => {
+            Joint::NoneExists => {
                 seq.pop();
             }
             done => return done,
         }
     }
-    JointStep::Exhausted
+    Joint::NoneExists
 }
 
 /// A leader-independent merged prefix produced by the guided finder: a common
@@ -1353,7 +1363,7 @@ fn merge_outcome_cached<'c>(
 ///
 /// With `find_only` set, the sound-but-expensive refutation stages (joint
 /// search, enumeration) are skipped: an unresolved class yields the budget
-/// error rather than burning the budget again. [`psi_strong_with`] switches to
+/// error rather than burning the budget again. [`strong_witness_with`] switches to
 /// this mode for the remaining leaders of a depth once one leader has already
 /// produced an error — at that point only a *success* can change the depth's
 /// outcome, so refutation work on further leaders is wasted.
@@ -1536,6 +1546,8 @@ fn strong_assignment_inner(
 /// For a fixed depth and candidate leader, the Port Path Election output assignment:
 /// one outgoing-port sequence per non-leader node, constant on view classes, tracing a
 /// simple path to the leader from every member. `Ok(None)` if no assignment exists.
+/// Runs on its own search and merge cache; the index loop shares one of each across
+/// every (depth, leader) attempt instead (see [`ppe_witness_with`]).
 pub fn ppe_assignment(
     g: &PortGraph,
     r: &Refinement,
@@ -1543,37 +1555,16 @@ pub fn ppe_assignment(
     leader: NodeId,
     max_paths: usize,
 ) -> Result<Option<Vec<Option<Vec<Port>>>>, IndexError> {
-    let mut search = QuotientSearch::new(g, r);
-    ppe_assignment_with(&mut search, depth, leader, max_paths)
+    let full = cppe_like_assignment(g, r, depth, leader, max_paths, Shade::Ppe)?;
+    Ok(full.map(|out| out.into_iter().map(|a| a.map(outgoing)).collect()))
 }
 
-/// [`ppe_assignment`] on a reusable [`QuotientSearch`].
-pub fn ppe_assignment_with(
-    search: &mut QuotientSearch<'_>,
-    depth: usize,
-    leader: NodeId,
-    max_paths: usize,
-) -> Result<Option<Vec<Option<Vec<Port>>>>, IndexError> {
-    let mut cache = MergeCache::default();
-    let full = strong_assignment_inner(
-        search,
-        depth,
-        leader,
-        max_paths,
-        Shade::Ppe,
-        &mut cache,
-        false,
-    )?;
-    Ok(full.map(|out| {
-        out.into_iter()
-            .map(|seq| seq.map(|pairs| pairs.into_iter().map(|(p, _)| p).collect()))
-            .collect()
-    }))
-}
+/// A CPPE output: the full (outgoing, incoming) port sequence of a simple path.
+pub type CppeSequence = Vec<(Port, Port)>;
 
-/// Per-node CPPE output assignment: `None` for the leader, the full (outgoing,
-/// incoming) port sequence of a simple path to the leader otherwise.
-pub type CppeAssignment = Vec<Option<Vec<(Port, Port)>>>;
+/// Per-node CPPE output assignment: `None` for the leader, the [`CppeSequence`]
+/// of a simple path to the leader otherwise.
+pub type CppeAssignment = Vec<Option<CppeSequence>>;
 
 /// For a fixed depth and candidate leader, the Complete Port Path Election output
 /// assignment (pairs of ports per edge). `Ok(None)` if no assignment exists.
@@ -1584,56 +1575,69 @@ pub fn cppe_assignment(
     leader: NodeId,
     max_paths: usize,
 ) -> Result<Option<CppeAssignment>, IndexError> {
-    let mut search = QuotientSearch::new(g, r);
-    cppe_assignment_with(&mut search, depth, leader, max_paths)
+    cppe_like_assignment(g, r, depth, leader, max_paths, Shade::Cppe)
 }
 
-/// [`cppe_assignment`] on a reusable [`QuotientSearch`].
-pub fn cppe_assignment_with(
-    search: &mut QuotientSearch<'_>,
+/// One (depth, leader) attempt of `shade` on a fresh search and merge cache.
+fn cppe_like_assignment(
+    g: &PortGraph,
+    r: &Refinement,
     depth: usize,
     leader: NodeId,
     max_paths: usize,
+    shade: Shade,
 ) -> Result<Option<CppeAssignment>, IndexError> {
+    let mut search = QuotientSearch::new(g, r);
     let mut cache = MergeCache::default();
     strong_assignment_inner(
-        search,
+        &mut search,
         depth,
         leader,
         max_paths,
-        Shade::Cppe,
+        shade,
         &mut cache,
         false,
     )
 }
 
-/// The depth loop shared by `ψ_PPE` and `ψ_CPPE`: at each depth try every unique
-/// node as leader. A budget error at one leader no longer aborts the whole
-/// computation immediately: a *success* at the same depth still soundly gives
-/// the index (the depth is viable, and all smaller depths were fully resolved),
-/// so the error is only propagated once the depth ends without a success.
-fn psi_strong_with(
+/// Project a full-pair sequence onto its outgoing ports (a PPE output).
+fn outgoing(pairs: CppeSequence) -> Vec<Port> {
+    pairs.into_iter().map(|(p, _)| p).collect()
+}
+
+/// The depth loop shared by `ψ_PPE` and `ψ_CPPE` and their map solvers: at each
+/// depth try every unique node as leader, on one search and one merge cache, and
+/// return the first success as a witness. A budget error at one leader no longer
+/// aborts the whole computation immediately: a *success* at the same depth still
+/// soundly gives the index (the depth is viable, and all smaller depths were fully
+/// resolved), so the error is only propagated once the depth ends without a success.
+fn strong_witness_with<T>(
     search: &mut QuotientSearch<'_>,
     max_paths: usize,
     shade: Shade,
-) -> Result<Option<usize>, IndexError> {
+    output: fn(CppeSequence) -> T,
+) -> Result<Option<Witness<T>>, IndexError> {
     let r = search.refinement();
     let mut cache = MergeCache::default();
-    for h in 0..=r.stable_depth() {
+    for depth in 0..=r.stable_depth() {
         let mut deferred: Option<IndexError> = None;
-        for leader in r.unique_nodes_at(h) {
+        for leader in r.unique_nodes_at(depth) {
             // After the first unresolved leader only a success can still change
             // this depth's outcome: probe the rest in find-only mode.
             let find_only = deferred.is_some();
             match strong_assignment_inner(
-                search, h, leader, max_paths, shade, &mut cache, find_only,
+                search, depth, leader, max_paths, shade, &mut cache, find_only,
             ) {
-                Ok(Some(_)) => return Ok(Some(h)),
+                Ok(Some(assignment)) => {
+                    return Ok(Some(Witness {
+                        depth,
+                        leader,
+                        assignment: assignment.into_iter().map(|a| a.map(output)).collect(),
+                    }))
+                }
                 Ok(None) => {}
                 Err(e) => {
-                    if deferred.is_none() {
-                        deferred = Some(e);
-                    }
+                    deferred.get_or_insert(e);
                 }
             }
         }
@@ -1644,6 +1648,23 @@ fn psi_strong_with(
         }
     }
     Ok(None)
+}
+
+/// The `ψ_PPE` witness on a caller-owned search: the index, its first viable
+/// leader and that leader's assignment.
+pub fn ppe_witness_with(
+    search: &mut QuotientSearch<'_>,
+    max_paths: usize,
+) -> Result<Option<Witness<Vec<Port>>>, IndexError> {
+    strong_witness_with(search, max_paths, Shade::Ppe, outgoing)
+}
+
+/// The `ψ_CPPE` witness on a caller-owned search.
+pub fn cppe_witness_with(
+    search: &mut QuotientSearch<'_>,
+    max_paths: usize,
+) -> Result<Option<Witness<CppeSequence>>, IndexError> {
+    strong_witness_with(search, max_paths, Shade::Cppe, |pairs| pairs)
 }
 
 /// `ψ_PPE(G)`: exact Port Path Election index.
@@ -1658,7 +1679,7 @@ pub fn psi_ppe_with(
     search: &mut QuotientSearch<'_>,
     max_paths: usize,
 ) -> Result<Option<usize>, IndexError> {
-    psi_strong_with(search, max_paths, Shade::Ppe)
+    Ok(strong_witness_with(search, max_paths, Shade::Ppe, |_| ())?.map(|w| w.depth))
 }
 
 /// `ψ_CPPE(G)`: exact Complete Port Path Election index.
@@ -1673,7 +1694,7 @@ pub fn psi_cppe_with(
     search: &mut QuotientSearch<'_>,
     max_paths: usize,
 ) -> Result<Option<usize>, IndexError> {
-    psi_strong_with(search, max_paths, Shade::Cppe)
+    Ok(strong_witness_with(search, max_paths, Shade::Cppe, |_| ())?.map(|w| w.depth))
 }
 
 /// Compute all four election indices (exact).
