@@ -21,18 +21,26 @@
 //! genuinely hard: that point measures the typed fail-fast path (a few seconds
 //! to `PathBudgetExceeded`, where the enumeration would never return) — hence
 //! the `.ok()` on the timed calls. PE has no budget and no enumeration
-//! baseline; its cost is the exact port predicate on classes the distance
-//! certificate cannot settle.
+//! baseline; ports the distance certificate cannot settle go to the lowpoint
+//! cut check, one DFS per leader.
+//!
+//! The `verify_pe_*` rows check the `ψ_PE` witness's outputs: `verify_pe_cuts_*`
+//! is `tasks::verify` (one lowpoint DFS, then `O(deg v)` per node) and
+//! `verify_pe_bfs_*` the reference predicate `paths::pe_port_is_valid` (one BFS
+//! per node, `O(n·m)`), which runs only up to n = 4096.
 //!
 //! Run with `cargo bench -p anet-bench --bench bench_index`.
 
 use anet_bench::Harness;
 use anet_constructions::GraphFamily;
 use anet_election::map_algorithms::solve_with_map;
-use anet_election::tasks::Task;
+use anet_election::tasks::{verify, NodeOutput, Task};
+use anet_graph::{NodeId, PortGraph};
 use anet_views::election_index::{
-    psi_cppe, psi_cppe_enumerated, psi_pe, psi_ppe, psi_ppe_enumerated,
+    pe_witness_with, psi_cppe, psi_cppe_enumerated, psi_pe, psi_ppe, psi_ppe_enumerated,
 };
+use anet_views::paths::pe_port_is_valid;
+use anet_views::{QuotientSearch, Refinement};
 use anet_workloads::{CirculantFamily, RandomRegularFamily, TorusFamily};
 
 /// The map solver's default path budget (both sides get the same allowance).
@@ -44,6 +52,30 @@ fn mean_ns(h: &Harness, id: &str) -> i64 {
         .find(|m| m.id == id)
         .map(|m| m.mean.as_nanos() as i64)
         .unwrap_or(0)
+}
+
+/// The `ψ_PE` witness of `g` as per-node outputs.
+fn pe_outputs(g: &PortGraph) -> Vec<NodeOutput> {
+    let r = Refinement::compute(g, None);
+    let mut search = QuotientSearch::new(g, &r);
+    let w = pe_witness_with(&mut search).expect("every bench instance has a PE solution");
+    w.assignment
+        .into_iter()
+        .map(|a| a.map_or(NodeOutput::Leader, NodeOutput::FirstPort))
+        .collect()
+}
+
+/// The PE check with one reference BFS per node (the verifier before the
+/// lowpoint DFS).
+fn verify_pe_bfs(g: &PortGraph, outputs: &[NodeOutput]) -> bool {
+    let Some(leader) = outputs.iter().position(|o| *o == NodeOutput::Leader) else {
+        return false;
+    };
+    g.nodes().all(|v| match outputs[v as usize] {
+        NodeOutput::Leader => v as usize == leader,
+        NodeOutput::FirstPort(p) => pe_port_is_valid(g, v, p, leader as NodeId),
+        _ => false,
+    })
 }
 
 fn main() {
@@ -61,6 +93,17 @@ fn main() {
             eprintln!("[bench_index] {name} n={n}");
             let samples = if n >= 4096 { 3 } else { 5 };
             h.bench(&format!("psi_pe_new_{name}_n{n}"), samples, || psi_pe(g));
+            if n >= 256 {
+                let outputs = pe_outputs(g);
+                h.bench(&format!("verify_pe_cuts_{name}_n{n}"), samples, || {
+                    verify(Task::PortElection, g, &outputs).is_ok()
+                });
+                if n <= 4096 {
+                    h.bench(&format!("verify_pe_bfs_{name}_n{n}"), samples, || {
+                        verify_pe_bfs(g, &outputs)
+                    });
+                }
+            }
             h.bench(&format!("psi_ppe_new_{name}_n{n}"), samples, || {
                 psi_ppe(g, MAX_PATHS).ok()
             });

@@ -384,8 +384,9 @@ impl ElectionBuilder {
         } else {
             tasks::weaken_outputs(&run.outputs, self.task).unwrap_or(run.outputs)
         };
-        // Wall time covers the solve (and Fact 1.1 adaptation) only; verification can
-        // dominate on large graphs and is not part of the algorithm being measured.
+        // Wall time covers the solve (and Fact 1.1 adaptation) only: verification is
+        // the oracle's check, not part of the algorithm being measured (its cost is
+        // near-linear in the graph plus the lengths of the output paths).
         let wall_time = start.elapsed();
         let verdict = tasks::verify(self.task, graph, &outputs);
         Ok(ElectionReport {

@@ -199,6 +199,8 @@ pub fn verify(
         _ => return Err(TaskError::MultipleLeaders { leaders }),
     };
 
+    // PE: one lowpoint DFS from the leader, then O(deg v) per node.
+    let mut cuts = None;
     for v in graph.nodes() {
         if v == leader {
             continue;
@@ -206,9 +208,9 @@ pub fn verify(
         let out = &outputs[v as usize];
         let ok = match (task, out) {
             (Task::Selection, NodeOutput::NonLeader) => true,
-            (Task::PortElection, NodeOutput::FirstPort(p)) => {
-                paths::pe_port_is_valid(graph, v, *p, leader)
-            }
+            (Task::PortElection, NodeOutput::FirstPort(p)) => cuts
+                .get_or_insert_with(|| paths::LeaderCuts::new(graph, leader))
+                .pe_port_is_valid(v, *p),
             (Task::PortPathElection, NodeOutput::PortPath(ports)) => {
                 paths::ppe_sequence_is_valid(graph, v, ports, leader)
             }

@@ -184,9 +184,8 @@ impl PortGraph {
         self.bfs_distances_avoiding(source, None)
     }
 
-    /// BFS distances from `source` in the graph with the node `avoid` (if any) removed.
-    /// Used by the Port Election verifier: a simple path from `v`'s neighbour to the
-    /// leader avoiding `v` exists iff the leader is reachable in `G − v`.
+    /// BFS distances from `source` in the graph with the node `avoid` (if any) removed
+    /// (`avoid = None` is the plain [`bfs_distances`](PortGraph::bfs_distances)).
     pub fn bfs_distances_avoiding(
         &self,
         source: NodeId,

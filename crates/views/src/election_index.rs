@@ -60,6 +60,11 @@
 //! at the depths where every view class is a singleton, where stage 2 always
 //! succeeds; no bounded search is ever needed and `ψ_CPPE` is exact at any scale.
 //!
+//! `ψ_PE` needs no ladder either: per class, ports are tried in increasing order
+//! against the exact PE predicate, which the distance certificate or the lowpoint
+//! cut check ([`crate::paths::LeaderCuts`], one DFS per leader) decides in
+//! `O(deg v)` per member.
+//!
 //! The pre-quotient implementations are kept as `*_enumerated` — the oracle for
 //! the equivalence tests and the baseline for the `bench_index` benchmark.
 
@@ -193,10 +198,11 @@ pub fn pe_assignment(
 }
 
 /// [`pe_assignment`] on a reusable [`QuotientSearch`] (caches the quotient per depth
-/// and the BFS passes per leader across calls). The distance certificate from the
-/// leader BFS fast-accepts ports leading strictly closer to the leader; ports are
-/// still tried in increasing order with the exact predicate as the fallback, so the
-/// selected assignment is identical to [`pe_assignment_enumerated`]'s.
+/// and the BFS passes per leader across calls). [`QuotientSearch::pe_port_is_valid`]
+/// fast-accepts ports leading strictly closer to the leader and decides the rest
+/// with one lowpoint DFS per leader; ports are still tried in increasing order
+/// against that exact predicate, so the selected assignment is identical to
+/// [`pe_assignment_enumerated`]'s.
 pub fn pe_assignment_with(
     search: &mut QuotientSearch<'_>,
     depth: usize,
@@ -215,11 +221,8 @@ pub fn pe_assignment_with(
             continue;
         }
         let degree = g.degree(class[0]) as u32;
-        let valid_port = (0..degree).find(|&p| {
-            class
-                .iter()
-                .all(|&v| search.pe_certified(v, p) || pe_port_is_valid(g, v, p, leader))
-        });
+        let valid_port =
+            (0..degree).find(|&p| class.iter().all(|&v| search.pe_port_is_valid(v, p)));
         match valid_port {
             Some(p) => {
                 for &v in &class {

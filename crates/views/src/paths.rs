@@ -14,16 +14,54 @@
 //! neighbour; the other two are direct walks. The exact `ψ_PPE` / `ψ_CPPE` computations
 //! additionally need to *enumerate* candidate simple paths, which is done here with an
 //! explicit cap so it is only used on small graphs.
+//!
+//! **The lowpoint lemma behind the PE check.** Take a depth-first tree rooted at the
+//! leader, with preorder numbers `disc` and, per node `x`, `low[x]` = the least `disc`
+//! of a node in or adjacent to `x`'s subtree. For a non-leader `v` with neighbour `u`
+//! (through port `p`), the leader is reachable from `u` in `G − v` iff
+//!
+//! * `u` lies outside `v`'s subtree — then `u`'s tree path to the root avoids `v`; or
+//! * `u` lies in the subtree of the child `c` of `v`, and `low[c] < disc[v]` — an
+//!   undirected DFS has no cross edges, so `c`'s subtree touches the rest of the graph
+//!   only through `v` itself and back edges to proper ancestors of `v`, which are
+//!   exactly the neighbours with `disc` below `disc[v]`.
+//!
+//! For the same reason a neighbour outside `v`'s subtree is an ancestor of `v`: the
+//! first case is just `disc[u] < disc[v]`.
+//!
+//! [`LeaderCuts`] records `disc`, `low` and the last `disc` in each subtree with one
+//! iterative `O(n + m)` DFS per leader, and then answers the PE predicate in
+//! `O(deg v)`. [`pe_port_is_valid`] keeps the one-BFS-per-query definition as the
+//! reference oracle.
 
 use anet_graph::{NodeId, Port, PortGraph};
 
 /// Is `target` reachable from `from` in the graph with node `avoid` deleted?
-/// (`from == target` counts as reachable provided `from != avoid`.)
+/// (`from == target` counts as reachable provided `from != avoid`.) The search
+/// stops as soon as it sees `target`.
 pub fn reaches_avoiding(g: &PortGraph, from: NodeId, target: NodeId, avoid: NodeId) -> bool {
     if from == avoid || target == avoid {
         return false;
     }
-    g.bfs_distances_avoiding(from, Some(avoid))[target as usize].is_some()
+    if from == target {
+        return true;
+    }
+    let mut seen = vec![false; g.num_nodes()];
+    seen[from as usize] = true;
+    seen[avoid as usize] = true;
+    let mut stack = vec![from];
+    while let Some(x) = stack.pop() {
+        for (_, u, _) in g.ports(x) {
+            if u == target {
+                return true;
+            }
+            if !seen[u as usize] {
+                seen[u as usize] = true;
+                stack.push(u);
+            }
+        }
+    }
+    false
 }
 
 /// Is port `p` at node `v` the first port of some simple path from `v` to `leader`?
@@ -35,6 +73,136 @@ pub fn pe_port_is_valid(g: &PortGraph, v: NodeId, p: Port, leader: NodeId) -> bo
     match g.neighbor(v, p) {
         None => false,
         Some((u, _)) => u == leader || reaches_avoiding(g, u, leader, v),
+    }
+}
+
+/// `disc` of a node the DFS has not reached.
+const UNSEEN: u32 = u32::MAX;
+
+/// The lowpoint structure of a graph seen from one leader: one iterative DFS
+/// rooted at the leader, after which the Port Election predicate costs `O(deg v)`
+/// per query instead of one BFS (see the lowpoint lemma in the module docs).
+/// Answers exactly as [`pe_port_is_valid`] for every `(v, p)`.
+#[derive(Debug)]
+pub struct LeaderCuts<'a> {
+    g: &'a PortGraph,
+    leader: NodeId,
+    /// Preorder number per node ([`UNSEEN`] if unreachable from the leader).
+    disc: Vec<u32>,
+    /// Least `disc` of a node in or adjacent to the node's subtree.
+    low: Vec<u32>,
+    /// Last `disc` in the node's subtree: the subtree is `disc[x]..=end[x]`.
+    end: Vec<u32>,
+    /// Arena for the DFS stack: `(node, next port to scan)`.
+    stack: Vec<(NodeId, Port)>,
+}
+
+impl<'a> LeaderCuts<'a> {
+    /// Run the DFS on `g` from `leader`. `O(n + m)`.
+    pub fn new(g: &'a PortGraph, leader: NodeId) -> Self {
+        let n = g.num_nodes();
+        let mut cuts = LeaderCuts {
+            g,
+            leader,
+            disc: vec![UNSEEN; n],
+            low: vec![0; n],
+            end: vec![0; n],
+            stack: vec![(0, 0); n],
+        };
+        cuts.rebuild(leader);
+        cuts
+    }
+
+    /// Rerun the DFS from another leader, reusing the arrays.
+    pub fn rebuild(&mut self, leader: NodeId) {
+        self.leader = leader;
+        lowpoint_dfs(
+            self.g,
+            leader,
+            &mut self.disc,
+            &mut self.low,
+            &mut self.end,
+            &mut self.stack,
+        );
+    }
+
+    /// The leader the DFS is rooted at.
+    pub fn leader(&self) -> NodeId {
+        self.leader
+    }
+
+    /// Is port `p` at `v` the first port of some simple path from `v` to the
+    /// leader? Same answer as [`pe_port_is_valid`], in `O(deg v)`.
+    pub fn pe_port_is_valid(&self, v: NodeId, p: Port) -> bool {
+        if v == self.leader {
+            return false;
+        }
+        let Some((u, _)) = self.g.neighbor(v, p) else {
+            return false;
+        };
+        let dv = self.disc[v as usize];
+        if dv == UNSEEN {
+            return false;
+        }
+        // A neighbour is an ancestor or a descendant of `v` (no cross edges).
+        // An ancestor (the leader included): its tree path avoids `v`.
+        let du = self.disc[u as usize];
+        if du < dv {
+            return true;
+        }
+        // A descendant: the subtree of the child `c` holding `u` must reach above
+        // `v`. `c` is one of the descendant neighbours whose subtree holds `u`;
+        // the others lie inside `c`'s subtree, so their `low` is no lower.
+        self.g.ports(v).any(|(_, c, _)| {
+            let dc = self.disc[c as usize];
+            dv < dc && dc <= du && du <= self.end[c as usize] && self.low[c as usize] < dv
+        })
+    }
+}
+
+/// The lowpoint DFS: iterative (graphs reach 10⁵ nodes), over caller-owned
+/// arenas of length `n`, filling `disc`/`low`/`end` for every node
+/// reachable from `root`.
+// anet-lint: hot-path
+fn lowpoint_dfs(
+    g: &PortGraph,
+    root: NodeId,
+    disc: &mut [u32],
+    low: &mut [u32],
+    end: &mut [u32],
+    stack: &mut [(NodeId, Port)],
+) {
+    for d in disc.iter_mut() {
+        *d = UNSEEN;
+    }
+    disc[root as usize] = 0;
+    low[root as usize] = 0;
+    stack[0] = (root, 0);
+    let (mut top, mut next) = (1usize, 1u32);
+    while top > 0 {
+        let (x, p) = stack[top - 1];
+        match g.neighbor(x, p) {
+            Some((u, _)) => {
+                stack[top - 1].1 = p + 1;
+                if disc[u as usize] == UNSEEN {
+                    disc[u as usize] = next;
+                    low[u as usize] = next;
+                    next += 1;
+                    stack[top] = (u, 0);
+                    top += 1;
+                } else {
+                    low[x as usize] = low[x as usize].min(disc[u as usize]);
+                }
+            }
+            None => {
+                end[x as usize] = next - 1;
+                top -= 1;
+                if top > 0 {
+                    let up = stack[top - 1].0 as usize;
+                    low[up] = low[up].min(low[x as usize]);
+                }
+            }
+        }
     }
 }
 

@@ -30,6 +30,7 @@
 //! `ppe_sequence_is_valid`/`cppe_sequence_is_valid` predicates as
 //! defense-in-depth.
 
+use crate::paths::LeaderCuts;
 use crate::refinement::Refinement;
 use anet_graph::{NodeId, Port, PortGraph};
 
@@ -204,6 +205,9 @@ pub struct QuotientSearch<'a> {
     route_port: Vec<Port>,
     /// Arena for the route BFS queue.
     class_queue: Vec<u32>,
+    /// Lowpoint DFS for the exact PE check, built on the first uncertified
+    /// query and rebuilt in place when the leader changes.
+    cuts: Option<LeaderCuts<'a>>,
     stats: SearchStats,
 }
 
@@ -222,6 +226,7 @@ impl<'a> QuotientSearch<'a> {
             route_len: Vec::new(),
             route_port: Vec::new(),
             class_queue: Vec::new(),
+            cuts: None,
             stats: SearchStats::default(),
         }
     }
@@ -294,13 +299,37 @@ impl<'a> QuotientSearch<'a> {
     /// closer to the leader, so `p` is the first port of a simple path to the
     /// leader (the shortest path from the closer endpoint cannot pass through
     /// `v`, since every node on it is closer to the leader than `v` is).
-    pub fn pe_certified(&self, v: NodeId, p: Port) -> bool {
+    fn pe_certified(&self, v: NodeId, p: Port) -> bool {
         match self.g.neighbor(v, p) {
             Some((u, _)) => {
                 self.dist[v as usize] != u32::MAX && self.dist[u as usize] < self.dist[v as usize]
             }
             None => false,
         }
+    }
+
+    /// The exact Port Election predicate for the prepared leader: is `p` at `v`
+    /// the first port of some simple path to it? The distance certificate
+    /// answers first; otherwise the lowpoint cut check of
+    /// [`LeaderCuts::pe_port_is_valid`] decides. Same answer as
+    /// [`crate::paths::pe_port_is_valid`].
+    pub fn pe_port_is_valid(&mut self, v: NodeId, p: Port) -> bool {
+        if self.pe_certified(v, p) {
+            return true;
+        }
+        let leader = self
+            .leader
+            .expect("pe_port_is_valid needs a prepared leader");
+        let cuts = match &mut self.cuts {
+            Some(cuts) => {
+                if cuts.leader() != leader {
+                    cuts.rebuild(leader);
+                }
+                cuts
+            }
+            None => self.cuts.insert(LeaderCuts::new(self.g, leader)),
+        };
+        cuts.pe_port_is_valid(v, p)
     }
 
     /// The `(outgoing, incoming)` port pairs of one concrete shortest path from
@@ -496,6 +525,28 @@ mod tests {
                     if s.pe_certified(v, p) {
                         assert!(crate::paths::pe_port_is_valid(&g, v, p, 0));
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_pe_predicate_follows_the_prepared_leader() {
+        use crate::paths::pe_port_is_valid;
+        let g = generators::random_connected(14, 4, 2, 11).unwrap();
+        let r = Refinement::compute(&g, None);
+        let mut s = QuotientSearch::new(&g, &r);
+        // Leader changes (and a depth change under one leader) must rebuild the
+        // lowpoint DFS exactly when the leader moves.
+        for (depth, leader) in [(0, 0), (0, 5), (1, 5), (1, 0), (0, 13)] {
+            s.prepare(depth, leader);
+            for v in g.nodes() {
+                for p in 0..=g.degree(v) as Port {
+                    assert_eq!(
+                        s.pe_port_is_valid(v, p),
+                        pe_port_is_valid(&g, v, p, leader),
+                        "leader {leader}, node {v}, port {p}"
+                    );
                 }
             }
         }
